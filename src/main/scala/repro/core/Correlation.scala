@@ -1,9 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.DoubleType
-import repro.ml.LocalMatrix
+import repro.ml.Rows
 
 /** Pearson redundancy removal — Algorithm 4 and Table II of the paper.
   *
@@ -18,82 +15,31 @@ object Correlation {
   /** Table II rule of thumb: |ρ| > 0.8 = "extremely strong correlation". */
   val DefaultTheta = 0.8
 
-  /** Full Pearson matrix of the named columns of a local matrix (Eq. 7). */
-  def matrixLocal(m: LocalMatrix, names: Seq[String]): Array[Array[Double]] = {
-    val pos = m.names.zipWithIndex.toMap
-    val cols = names.map(n => m.column(pos(n))).toArray
-    fromSums(sums(cols, m.rows), names.length, m.rows)
-  }
-
-  /** Distributed Pearson matrix: one `treeAggregate` pass over the rows
-    * accumulating sums, squares and upper-triangle cross products.
+  /** Pearson matrix (Eq. 7) of columns `cols` of `rows`: one pass of the
+    * moments update accumulating sums, squares and upper-triangle cross
+    * products.
     */
-  def matrixSpark(df: DataFrame, names: Seq[String]): Array[Array[Double]] = {
-    val featNames = names.toArray
-    val c = featNames.length
+  def matrix(rows: Rows[Rows.Labeled], cols: Array[Int]): Array[Array[Double]] = {
+    val c = cols.length
     if (c == 0) return Array.empty
-    val casted = df.select(featNames.map(n => col(n).cast(DoubleType)): _*)
     // layout: [0,c) sums | [c,2c) sumsq | [2c, 2c + c(c+1)/2) upper-tri cross | [last] n
-    val triLen = c * (c + 1) / 2
-    val flat = casted.rdd.treeAggregate(new Array[Double](2 * c + triLen + 1))(
-      seqOp = { (acc, r) =>
-        val v = new Array[Double](c)
-        var j = 0
-        while (j < c) {
-          val x = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-          v(j) = if (java.lang.Double.isFinite(x)) x else 0.0
-          acc(j) += v(j)
-          acc(c + j) += v(j) * v(j)
-          j += 1
-        }
-        var t = 2 * c
-        var i = 0
-        while (i < c) {
-          var k = i
-          while (k < c) { acc(t) += v(i) * v(k); t += 1; k += 1 }
-          i += 1
-        }
-        acc(acc.length - 1) += 1.0
-        acc
-      },
-      combOp = { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a })
-    val n = flat.last.toLong
-    val colSums = java.util.Arrays.copyOfRange(flat, 0, c)
-    val colSq = java.util.Arrays.copyOfRange(flat, c, 2 * c)
+    val flat = rows.sum(2 * c + c * (c + 1) / 2 + 1) { case (acc, (x, _)) =>
+      var t = 2 * c
+      var i = 0
+      while (i < c) {
+        val v = x(cols(i))
+        acc(i) += v
+        acc(c + i) += v * v
+        var k = i
+        while (k < c) { acc(t) += v * x(cols(k)); t += 1; k += 1 }
+        i += 1
+      }
+      acc(acc.length - 1) += 1.0
+    }
     val cross = Array.ofDim[Double](c, c)
     var t = 2 * c
-    var i = 0
-    while (i < c) {
-      var k = i
-      while (k < c) { cross(i)(k) = flat(t); cross(k)(i) = flat(t); t += 1; k += 1 }
-      i += 1
-    }
-    fromSums((colSums, colSq, cross), c, n)
-  }
-
-  private def sums(cols: Array[Array[Double]], n: Long)
-      : (Array[Double], Array[Double], Array[Array[Double]]) = {
-    val c = cols.length
-    val s = new Array[Double](c)
-    val sq = new Array[Double](c)
-    val cross = Array.ofDim[Double](c, c)
-    var i = 0
-    while (i < c) {
-      val ci = cols(i)
-      var r = 0
-      while (r < ci.length) { s(i) += ci(r); sq(i) += ci(r) * ci(r); r += 1 }
-      var k = i
-      while (k < c) {
-        val ck = cols(k)
-        var rr = 0
-        var acc = 0.0
-        while (rr < ci.length) { acc += ci(rr) * ck(rr); rr += 1 }
-        cross(i)(k) = acc; cross(k)(i) = acc
-        k += 1
-      }
-      i += 1
-    }
-    (s, sq, cross)
+    for (i <- 0 until c; k <- i until c) { cross(i)(k) = flat(t); cross(k)(i) = flat(t); t += 1 }
+    fromSums((flat.take(c), flat.slice(c, 2 * c), cross), c, flat.last.toLong)
   }
 
   private def fromSums(sums: (Array[Double], Array[Double], Array[Array[Double]]),
@@ -109,7 +55,10 @@ object Correlation {
           val cov = cross(i)(k) - s(i) * s(k) / n
           val vi = sq(i) - s(i) * s(i) / n
           val vk = sq(k) - s(k) * s(k) / n
-          out(i)(k) = if (vi <= 1e-12 || vk <= 1e-12) 0.0 else cov / math.sqrt(vi * vk)
+          val r = if (vi <= 1e-12 || vk <= 1e-12) 0.0 else cov / math.sqrt(vi * vk)
+          // moments that overflow (|v| ~ 1e300) read as uncorrelated, like a
+          // constant column; rounding past ±1 is clamped
+          out(i)(k) = if (java.lang.Double.isFinite(r)) math.max(-1.0, math.min(1.0, r)) else 0.0
         }
         k += 1
       }

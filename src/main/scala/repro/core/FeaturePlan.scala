@@ -31,14 +31,33 @@ final case class GenFeature(op: Op, inputs: Seq[String]) {
 
   def describe: String = s"$name = $sql"
 
+  /** Evaluate given the values of each input column. */
+  def local(input: String => Array[Double]): Array[Double] = op match {
+    case u: UnaryOp  => u.local(input(inputs.head))
+    case b: BinaryOp => b.local(input(inputs.head), input(inputs(1)))
+  }
+
   /** Evaluate against a matrix that already contains all `inputs`. */
   def applyLocal(m: LocalMatrix): Array[Double] = {
     val pos = m.names.zipWithIndex.toMap
-    op match {
-      case u: UnaryOp  => u.local(m.column(pos(inputs.head)))
-      case b: BinaryOp => b.local(m.column(pos(inputs.head)), m.column(pos(inputs(1))))
-    }
+    local(n => m.column(pos(n)))
   }
+}
+
+object GenFeature {
+
+  /** Appends dependency-ordered features to `m` with one `withColumns`: an
+    * input is an original column of `m` or a feature earlier in `gs`.
+    */
+  def appendLocal(m: LocalMatrix, gs: Seq[GenFeature]): LocalMatrix =
+    if (gs.isEmpty) m
+    else {
+      val pos = m.names.zipWithIndex.toMap
+      val cols = scala.collection.mutable.HashMap.empty[String, Array[Double]]
+      val column = (n: String) => cols.getOrElseUpdate(n, m.column(pos(n)))
+      val made = gs.map(g => { val c = g.local(column); cols(g.name) = c; c }).toArray
+      m.withColumns(gs.map(_.name).toArray, Array.tabulate(m.rows)(i => made.map(_(i))))
+    }
 }
 
 /** Ψ — the feature generation function produced by SAFE (Eq. 1) and the
@@ -84,15 +103,8 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
   }
 
   /** Apply Ψ to a local matrix of original features. */
-  def applyLocal(m: LocalMatrix): LocalMatrix = {
-    val full = neededGenerated.foldLeft(m) { (cur, g) =>
-      cur.withColumns(Array(g.name), {
-        val c = g.applyLocal(cur)
-        Array.tabulate(cur.rows)(i => Array(c(i)))
-      })
-    }
-    full.selectNames(keep)
-  }
+  def applyLocal(m: LocalMatrix): LocalMatrix =
+    GenFeature.appendLocal(m, neededGenerated).selectNames(keep)
 
   /** Human-readable description of the output feature set. */
   def describe: Seq[String] = {

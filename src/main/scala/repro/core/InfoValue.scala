@@ -1,9 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.DoubleType
-import repro.ml.{Binning, LocalMatrix}
+import repro.ml.{Binning, Rows}
 
 /** Information Value filter — Algorithm 3 and Table I of the paper.
   *
@@ -18,18 +15,11 @@ object InfoValue {
   val DefaultAlpha = 0.1
   val DefaultBins = 10
 
-  /** IV of one feature column against binary labels. */
+  /** IV of one feature column against binary labels (exact quantile edges);
+    * the per-column reference for [[ivAll]].
+    */
   def iv(values: Array[Double], labels: Array[Double], beta: Int = DefaultBins): Double = {
-    val edges = Binning.quantileEdges(values, beta)
-    val bins = edges.length + 1
-    val pos = new Array[Double](bins)
-    val neg = new Array[Double](bins)
-    var i = 0
-    while (i < values.length) {
-      val b = Binning.binOf(values(i), edges)
-      if (labels(i) > 0.5) pos(b) += 1 else neg(b) += 1
-      i += 1
-    }
+    val (pos, neg) = Binning.classCounts(values, labels, Binning.quantileEdges(values, beta))
     fromCounts(pos, neg)
   }
 
@@ -50,49 +40,27 @@ object InfoValue {
     ivSum
   }
 
-  /** IV for every listed column of a local matrix. */
-  def ivAllLocal(m: LocalMatrix, names: Seq[String], beta: Int = DefaultBins): Map[String, Double] = {
-    val pos = m.names.zipWithIndex.toMap
-    names.map(n => n -> iv(m.column(pos(n)), m.y, beta)).toMap
-  }
-
-  /** Distributed IV: equal-frequency edges from approxQuantile, then one
-    * `treeAggregate` pass accumulating per-(feature, bin, class) counts.
+  /** IV of columns `cols` of `rows` under per-column interior `edges`: one
+    * pass of the (feature, bin, class) count update. Counts are integers, so
+    * the local fold and Spark's `treeAggregate` agree exactly on equal edges.
     */
-  def ivAllSpark(df: DataFrame, names: Seq[String], labelCol: String = "label",
-                 beta: Int = DefaultBins): Map[String, Double] = {
-    if (names.isEmpty) return Map.empty
-    val featNames = names.toArray
-    val casted = df.select((featNames :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
-    val edges = Binning.fitSpark(casted, featNames, beta)
-    val binCounts = Binning.binCounts(edges)
-    val offsets = binCounts.scanLeft(0)(_ + _)
+  def ivAll(rows: Rows[Rows.Labeled], cols: Array[Int], edges: Array[Array[Double]]): Array[Double] = {
+    require(cols.length == edges.length, "one edge array per column")
+    val offsets = Binning.binCounts(edges).scanLeft(0)(_ + _)
     val total = offsets.last
-    val m = featNames.length
-    val sc = df.sparkSession.sparkContext
-    val bcEdges = sc.broadcast(edges)
     // layout: [0, total) positives, [total, 2*total) negatives
-    val flat = casted.rdd.treeAggregate(new Array[Double](2 * total))(
-      seqOp = { (acc, r) =>
-        val e = bcEdges.value
-        val label = if (r.isNullAt(m)) 0.0 else r.getDouble(m)
-        val off = if (label > 0.5) 0 else total
-        var j = 0
-        while (j < m) {
-          val v0 = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-          val v = if (java.lang.Double.isFinite(v0)) v0 else 0.0
-          acc(off + offsets(j) + Binning.binOf(v, e(j))) += 1.0
-          j += 1
-        }
-        acc
-      },
-      combOp = { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a })
-    bcEdges.destroy()
-    featNames.indices.map { j =>
-      val pos = java.util.Arrays.copyOfRange(flat, offsets(j), offsets(j + 1))
-      val neg = java.util.Arrays.copyOfRange(flat, total + offsets(j), total + offsets(j + 1))
-      featNames(j) -> fromCounts(pos, neg)
-    }.toMap
+    val flat = rows.sum(2 * total) { case (acc, (x, label)) =>
+      val off = if (label > 0.5) 0 else total
+      var j = 0
+      while (j < cols.length) {
+        acc(off + offsets(j) + Binning.binOf(x(cols(j)), edges(j))) += 1.0
+        j += 1
+      }
+    }
+    Array.tabulate(cols.length) { j =>
+      fromCounts(java.util.Arrays.copyOfRange(flat, offsets(j), offsets(j + 1)),
+                 java.util.Arrays.copyOfRange(flat, total + offsets(j), total + offsets(j + 1)))
+    }
   }
 
   /** Algorithm 3: names with IV > α. If the threshold would empty the set,

@@ -77,19 +77,9 @@ object PathMining {
       if (m.y(i) > 0.5) posC(cell) += 1 else negC(cell) += 1
       i += 1
     }
-    val n = m.rows.toDouble
-    val hy = Metrics.binaryEntropy(posC.sum, negC.sum)
-    var hCond = 0.0
-    val cellW = new Array[Double](nCells)
-    var c = 0
-    while (c < nCells) {
-      val w = posC(c) + negC(c)
-      cellW(c) = w
-      if (w > 0) hCond += (w / n) * Metrics.binaryEntropy(posC(c), negC(c))
-      c += 1
-    }
+    val cellW = Array.tabulate(nCells)(c => posC(c) + negC(c))
     val splitInfo = Metrics.entropy(cellW)
-    if (splitInfo < 1e-12) 0.0 else (hy - hCond) / splitInfo
+    if (splitInfo < 1e-12) 0.0 else Metrics.entropyGain(posC, negC) / splitInfo
   }
 
   /** Algorithm 2 end-to-end: mine combinations from the model, score on a

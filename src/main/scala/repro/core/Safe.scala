@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
-import repro.ml.{Gbdt, GbdtModel, GbdtParams, LocalMatrix}
+import repro.ml.{Binning, Gbdt, GbdtModel, GbdtParams, LocalMatrix, Rows}
 import repro.core.Operators.{BinaryOp, UnaryOp}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -69,11 +69,7 @@ object Safe {
     var gbdtParams: GbdtParams = GbdtParams()
     def trainGbdt(names: Seq[String]): GbdtModel =
       Gbdt.fit(full.selectNames(names), gbdtParams)
-    def addGenerated(gs: Seq[GenFeature]): Unit =
-      full = gs.foldLeft(full) { (cur, g) =>
-        val c = g.applyLocal(cur)
-        cur.withColumns(Array(g.name), Array.tabulate(cur.rows)(i => Array(c(i))))
-      }
+    def addGenerated(gs: Seq[GenFeature]): Unit = full = GenFeature.appendLocal(full, gs)
     def scoringMatrix(names: Seq[String]): LocalMatrix = {
       val sel = full.selectNames(names)
       if (sel.rows <= sampleCap) sel
@@ -82,10 +78,17 @@ object Safe {
         sel.takeRows(rng.shuffle((0 until sel.rows).toList).take(sampleCap).toArray)
       }
     }
-    def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllLocal(full, names, beta)
+    private def cols(names: Seq[String]): Array[Int] = {
+      val pos = full.names.zipWithIndex.toMap
+      names.map(pos).toArray
+    }
+    def ivAll(names: Seq[String], beta: Int): Map[String, Double] = {
+      val idx = cols(names)
+      val edges = idx.map(j => Binning.quantileEdges(full.column(j), beta))
+      names.zip(InfoValue.ivAll(Rows.of(full), idx, edges)).toMap
+    }
     def corrMatrix(names: Seq[String]): Array[Array[Double]] =
-      Correlation.matrixLocal(full, names)
+      Correlation.matrix(Rows.of(full), cols(names))
   }
 
   final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long) extends Engine {
@@ -111,9 +114,16 @@ object Safe {
       LocalMatrix.fromDF(sampled, labelCol)
     }
     def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllSpark(fullDf, names, labelCol, beta)
+      if (names.isEmpty) Map.empty
+      else {
+        val casted = Rows.select(fullDf, names.toArray, labelCol)
+        val edges = Binning.fitSpark(casted, names.toArray, beta)
+        val rows = Rows.Distributed(Rows.decoded(casted))
+        names.zip(InfoValue.ivAll(rows, names.indices.toArray, edges)).toMap
+      }
     def corrMatrix(names: Seq[String]): Array[Array[Double]] =
-      Correlation.matrixSpark(fullDf, names)
+      Correlation.matrix(Rows.Distributed(Rows.decoded(Rows.select(fullDf, names.toArray, labelCol))),
+        names.indices.toArray)
   }
 
   /** SAFE on driver-side data (the paper's benchmark-machine setting). */

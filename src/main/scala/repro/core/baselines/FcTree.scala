@@ -2,7 +2,7 @@ package repro.core.baselines
 
 import repro.core.Operators.BinaryOp
 import repro.core.{FeaturePlan, GenFeature, Operators}
-import repro.ml.LocalMatrix
+import repro.ml.{Binning, LocalMatrix, Metrics}
 import scala.util.Random
 
 /** FCTree comparator [28].
@@ -37,32 +37,6 @@ object FcTree {
     def columnOf(g: GenFeature): Array[Double] =
       colCache.getOrElseUpdate(g.name, g.applyLocal(m))
 
-    def bestSplitPoint(values: Array[Double], idx: Array[Int]): (Double, Double) = {
-      // returns (threshold, gain) of best binary split
-      val sub = idx.map(values(_))
-      val edges = repro.ml.Binning.quantileEdges(sub, cfg.bins)
-      var bestGain = 0.0
-      var bestThr = Double.NaN
-      if (edges.isEmpty) return (bestThr, bestGain)
-      edges.foreach { thr =>
-        var pl = 0.0; var nl = 0.0; var pr = 0.0; var nr = 0.0
-        idx.foreach { i =>
-          if (values(i) <= thr) { if (m.y(i) > 0.5) pl += 1 else nl += 1 }
-          else { if (m.y(i) > 0.5) pr += 1 else nr += 1 }
-        }
-        val n = idx.length.toDouble
-        val wl = pl + nl; val wr = pr + nr
-        if (wl > 0 && wr > 0) {
-          val hy = repro.ml.Metrics.binaryEntropy(pl + pr, nl + nr)
-          val h = (wl / n) * repro.ml.Metrics.binaryEntropy(pl, nl) +
-                  (wr / n) * repro.ml.Metrics.binaryEntropy(pr, nr)
-          val gain = hy - h
-          if (gain > bestGain) { bestGain = gain; bestThr = thr }
-        }
-      }
-      (bestThr, bestGain)
-    }
-
     def randomConstructed(): GenFeature = {
       val i = rng.nextInt(m.cols)
       var j = rng.nextInt(m.cols)
@@ -84,13 +58,13 @@ object FcTree {
       var bestGen: Option[GenFeature] = None
       for (j <- 0 until m.cols) {
         val vals = m.column(j)
-        val (thr, gain) = bestSplitPoint(vals, idx)
+        val (thr, gain) = bestSplit(vals, m.y, idx, cfg.bins)
         if (gain > bestGain) { bestGain = gain; bestVals = vals; bestThr = thr; bestGen = None }
       }
       for (_ <- 0 until cfg.nCand) {
         val g = randomConstructed()
         val vals = columnOf(g)
-        val (thr, gain) = bestSplitPoint(vals, idx)
+        val (thr, gain) = bestSplit(vals, m.y, idx, cfg.bins)
         if (gain > bestGain) {
           bestGain = gain; bestVals = vals; bestThr = thr; bestGen = Some(g)
         }
@@ -113,29 +87,26 @@ object FcTree {
     FeaturePlan(topGen, m.names.toSeq ++ topGen.map(_.name))
   }
 
-  /** Best single-threshold info gain of `values` restricted to `idx` rows —
-    * exposed for tests (mirrors the split criterion used in `fit`).
+  /** The split criterion: (threshold, information gain) of the best single
+    * threshold of `values` restricted to `idx` rows, among the quantile edges
+    * of those rows; (NaN, 0) when no threshold has two non-empty sides.
     */
-  def gainOf(labels: Array[Double], values: Array[Double], idx: Array[Int], bins: Int): Double = {
-    val edges = repro.ml.Binning.quantileEdges(idx.map(values(_)), bins)
-    if (edges.isEmpty) return 0.0
-    var best = 0.0
-    edges.foreach { thr =>
-      var pl = 0.0; var nl = 0.0; var pr = 0.0; var nr = 0.0
+  private[baselines] def bestSplit(values: Array[Double], labels: Array[Double], idx: Array[Int],
+                                   bins: Int): (Double, Double) = {
+    var bestGain = 0.0
+    var bestThr = Double.NaN
+    Binning.quantileEdges(idx.map(values(_)), bins).foreach { thr =>
+      val pos = new Array[Double](2) // (left, right)
+      val neg = new Array[Double](2)
       idx.foreach { i =>
-        if (values(i) <= thr) { if (labels(i) > 0.5) pl += 1 else nl += 1 }
-        else { if (labels(i) > 0.5) pr += 1 else nr += 1 }
+        val side = if (values(i) <= thr) 0 else 1
+        if (labels(i) > 0.5) pos(side) += 1 else neg(side) += 1
       }
-      val n = idx.length.toDouble
-      val wl = pl + nl; val wr = pr + nr
-      if (wl > 0 && wr > 0) {
-        val hy = repro.ml.Metrics.binaryEntropy(pl + pr, nl + nr)
-        val h = (wl / n) * repro.ml.Metrics.binaryEntropy(pl, nl) +
-                (wr / n) * repro.ml.Metrics.binaryEntropy(pr, nr)
-        val g = hy - h
-        if (g > best) best = g
+      if (pos(0) + neg(0) > 0 && pos(1) + neg(1) > 0) {
+        val gain = Metrics.entropyGain(pos, neg)
+        if (gain > bestGain) { bestGain = gain; bestThr = thr }
       }
     }
-    best
+    (bestThr, bestGain)
   }
 }

@@ -24,26 +24,8 @@ object Tfc {
 
   /** Information gain of a candidate column against binary labels. */
   def infoGain(values: Array[Double], labels: Array[Double], bins: Int): Double = {
-    val edges = Binning.quantileEdges(values, bins)
-    val nb = edges.length + 1
-    val pos = new Array[Double](nb)
-    val neg = new Array[Double](nb)
-    var i = 0
-    while (i < values.length) {
-      val b = Binning.binOf(values(i), edges)
-      if (labels(i) > 0.5) pos(b) += 1 else neg(b) += 1
-      i += 1
-    }
-    val n = values.length.toDouble
-    val hy = Metrics.binaryEntropy(pos.sum, neg.sum)
-    var hc = 0.0
-    var b = 0
-    while (b < nb) {
-      val w = pos(b) + neg(b)
-      if (w > 0) hc += (w / n) * Metrics.binaryEntropy(pos(b), neg(b))
-      b += 1
-    }
-    hy - hc
+    val (pos, neg) = Binning.classCounts(values, labels, Binning.quantileEdges(values, bins))
+    Metrics.entropyGain(pos, neg)
   }
 
   def fit(m: LocalMatrix, cfg: TfcConfig = TfcConfig()): FeaturePlan = {

@@ -42,6 +42,20 @@ object Binning {
     lo
   }
 
+  /** Per-bin (#pos, #neg) label counts of `values` under interior `edges`. */
+  def classCounts(values: Array[Double], labels: Array[Double],
+                  edges: Array[Double]): (Array[Double], Array[Double]) = {
+    val pos = new Array[Double](edges.length + 1)
+    val neg = new Array[Double](edges.length + 1)
+    var i = 0
+    while (i < values.length) {
+      val b = binOf(values(i), edges)
+      if (labels(i) > 0.5) pos(b) += 1 else neg(b) += 1
+      i += 1
+    }
+    (pos, neg)
+  }
+
   /** Per-column interior edges for a whole matrix. */
   def fitLocal(m: LocalMatrix, maxBins: Int): Array[Array[Double]] =
     Array.tabulate(m.cols)(j => quantileEdges(m.column(j), maxBins))
@@ -64,17 +78,20 @@ object Binning {
     }.toArray
   }
 
-  /** Apply per-column edges to a matrix, producing row-major bin codes.
-    * Bin counts must fit a byte (maxBins ≤ 127 enforced upstream).
+  /** Bin codes of one row under per-column edges. Bin counts must fit a
+    * byte (maxBins ≤ 127 enforced upstream).
     */
+  def binRow(row: Array[Double], edges: Array[Array[Double]]): Array[Byte] = {
+    val b = new Array[Byte](edges.length)
+    var j = 0
+    while (j < edges.length) { b(j) = binOf(row(j), edges(j)).toByte; j += 1 }
+    b
+  }
+
+  /** Apply per-column edges to a matrix, producing row-major bin codes. */
   def applyLocal(m: LocalMatrix, edges: Array[Array[Double]]): Array[Array[Byte]] = {
     require(edges.length == m.cols, "edges width mismatch")
-    Array.tabulate(m.rows) { i =>
-      val row = new Array[Byte](m.cols)
-      var j = 0
-      while (j < m.cols) { row(j) = binOf(m.x(i)(j), edges(j)).toByte; j += 1 }
-      row
-    }
+    m.x.map(binRow(_, edges))
   }
 
   /** Number of bins per column implied by `edges`. */

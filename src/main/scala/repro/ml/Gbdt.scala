@@ -1,9 +1,69 @@
 package repro.ml
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.DoubleType
+import org.apache.spark.storage.StorageLevel
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
+
+/** Flat tree-node encoding shared by the GBDT trainer and CART.
+  *
+  * `feature >= 0` → internal split: rows with `bin(feature) <= binThr` go to
+  * `left`, the rest to `right`. `feature == Leaf` → finalized leaf with
+  * `weight` (already scaled by the learning rate). `feature == Pending` →
+  * frontier node still being grown this level.
+  */
+final case class Node(
+    feature: Int,
+    binThr: Int,
+    left: Int,
+    right: Int,
+    weight: Double,
+    gain: Double,
+    cover: Double) extends Serializable
+
+object Node {
+  val Leaf: Int = -1
+  val Pending: Int = -2
+
+  def pending: Node = Node(Pending, -1, -1, -1, 0.0, 0.0, 0.0)
+  def leaf(weight: Double, cover: Double): Node = Node(Leaf, -1, -1, -1, weight, 0.0, cover)
+}
+
+/** Pure traversal helpers (executed on Spark executors — keep allocation-free). */
+object TreeOps {
+
+  /** Leaf weight of a finalized tree for a binned row. */
+  def predict(nodes: Array[Node], bins: Array[Byte]): Double = {
+    var i = 0
+    while (nodes(i).feature >= 0) {
+      val nd = nodes(i)
+      i = if ((bins(nd.feature) & 0xff) <= nd.binThr) nd.left else nd.right
+    }
+    nodes(i).weight
+  }
+
+  /** Route a row through a partially built tree; returns the Pending node id
+    * the row lands on, or -1 if it reaches a finalized leaf.
+    */
+  def routePending(nodes: Array[Node], bins: Array[Byte]): Int = {
+    var i = 0
+    while (true) {
+      val nd = nodes(i)
+      if (nd.feature == Node.Pending) return i
+      if (nd.feature == Node.Leaf) return -1
+      i = if ((bins(nd.feature) & 0xff) <= nd.binThr) nd.left else nd.right
+    }
+    -1 // unreachable
+  }
+
+  /** Boosting margin of a binned row under finalized `trees` (base score 0). */
+  def margin(trees: Array[Array[Node]], bins: Array[Byte]): Double = {
+    var s = 0.0
+    var t = 0
+    while (t < trees.length) { s += predict(trees(t), bins); t += 1 }
+    s
+  }
+}
 
 /** XGBoost-lite hyper-parameters (paper defaults, §IV-D/§VI of DESIGN.md). */
 final case class GbdtParams(
@@ -34,12 +94,7 @@ final case class GbdtModel(
   def numFeatures: Int = names.length
 
   /** Bin one raw row with the model's training-time edges. */
-  def binRow(row: Array[Double]): Array[Byte] = {
-    val b = new Array[Byte](edges.length)
-    var j = 0
-    while (j < edges.length) { b(j) = Binning.binOf(row(j), edges(j)).toByte; j += 1 }
-    b
-  }
+  def binRow(row: Array[Double]): Array[Byte] = Binning.binRow(row, edges)
 
   def predictMargin(row: Array[Double]): Double = TreeOps.margin(trees, binRow(row))
 
@@ -88,45 +143,37 @@ final case class GbdtModel(
   }
 }
 
-/** Histogram GBDT trainer. The statistics backend decides where the rows
-  * live (driver arrays vs. an RDD); the split-finding logic is identical —
-  * second-order logistic-loss gain as in XGBoost [32].
+/** Histogram GBDT trainer. Where the binned rows live (local arrays or an
+  * RDD) is the only difference between the local and distributed paths; the
+  * histogram update and the split finding are written once — second-order
+  * logistic-loss gain as in XGBoost [32].
   */
 object Gbdt {
+
+  /** A binned row and its label. */
+  type Binned = (Array[Byte], Double)
 
   /** Train on a local matrix (driver-side histograms). */
   def fit(m: LocalMatrix, params: GbdtParams = GbdtParams()): GbdtModel = {
     val edges = Binning.fitLocal(m, params.maxBins)
     val bins = Binning.applyLocal(m, edges)
-    train(new LocalHist(bins, m.y), edges, m.names, params)
+    train(Rows.Local(ArraySeq.unsafeWrapArray(bins.zip(m.y))), edges, m.names, params)
   }
 
   /** Train on a DataFrame with distributed histogram aggregation. */
   def fitDF(df: DataFrame, labelCol: String = "label",
             params: GbdtParams = GbdtParams()): GbdtModel = {
     val featNames = df.columns.filter(_ != labelCol)
-    val casted = df.select((featNames :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
+    val casted = Rows.select(df, featNames, labelCol)
     val edges = Binning.fitSpark(casted, featNames, params.maxBins)
-    val m = featNames.length
-    val bc = casted.sparkSession.sparkContext.broadcast(edges)
-    val rdd = casted.rdd.map { r =>
-      val e = bc.value
-      val b = new Array[Byte](m)
-      var j = 0
-      while (j < m) {
-        val v0 = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-        val v = if (java.lang.Double.isFinite(v0)) v0 else 0.0
-        b(j) = Binning.binOf(v, e(j)).toByte
-        j += 1
-      }
-      (b, if (r.isNullAt(m)) 0.0 else r.getDouble(m))
-    }.persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-    try train(new SparkHist(rdd), edges, featNames, params)
-    finally { rdd.unpersist(blocking = false); bc.destroy() }
+    val rdd = Rows.decoded(casted).map { case (x, y) => (Binning.binRow(x, edges), y) }
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    try train(Rows.Distributed(rdd), edges, featNames, params)
+    finally rdd.unpersist(blocking = false)
   }
 
-  /** Core level-wise trainer over any backend. */
-  def train(backend: HistBackend, edges: Array[Array[Double]],
+  /** Core level-wise trainer over rows held anywhere. */
+  def train(rows: Rows[Binned], edges: Array[Array[Double]],
             names: Array[String], params: GbdtParams): GbdtModel = {
     val binCounts = Binning.binCounts(edges)
     val offsets = binCounts.scanLeft(0)(_ + _).dropRight(1)
@@ -142,7 +189,7 @@ object Gbdt {
         val pending = partial.indices.filter(partial(_).feature == Node.Pending).toArray
         if (pending.isEmpty) { anyPending = false }
         else {
-          val (g, h) = backend.histograms(trees.toArray, partial.toArray, pending, offsets, totalBins)
+          val (g, h) = histograms(rows, trees.toArray, partial.toArray, pending, offsets, totalBins)
           val atMaxDepth = depth >= params.maxDepth
           var k = 0
           while (k < pending.length) {
@@ -168,6 +215,43 @@ object Gbdt {
       t += 1
     }
     GbdtModel(trees.toArray, edges, names, params)
+  }
+
+  /** Gradient/hessian histograms of every frontier node of the tree under
+    * construction, under logistic loss with margins from `prevTrees`: one
+    * pass of the histogram update over the rows.
+    *
+    * @param partial nodes of the tree being grown (contains Pending nodes)
+    * @param pending ids of the Pending nodes (the frontier)
+    * @param offsets per-feature offset into the flat bin axis
+    * @return (g, h): per frontier node, flat arrays indexed offsets(f)+bin
+    */
+  private def histograms(
+      rows: Rows[Binned], prevTrees: Array[Array[Node]], partial: Array[Node],
+      pending: Array[Int], offsets: Array[Int], totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
+    val pos = Array.fill(partial.length)(-1) // node id -> frontier position
+    pending.indices.foreach(k => pos(pending(k)) = k)
+    // layout: g of frontier node k at [k*totalBins, (k+1)*totalBins), h after all g
+    val half = pending.length * totalBins
+    val flat = rows.sum(2 * half) { case (acc, (rowBins, label)) =>
+      val nodeId = TreeOps.routePending(partial, rowBins)
+      if (nodeId >= 0) {
+        val p = Metrics.sigmoid(TreeOps.margin(prevTrees, rowBins))
+        val grad = p - label
+        val hess = math.max(p * (1.0 - p), 1e-16)
+        val base = pos(nodeId) * totalBins
+        var f = 0
+        while (f < offsets.length) {
+          val idx = base + offsets(f) + (rowBins(f) & 0xff)
+          acc(idx) += grad
+          acc(half + idx) += hess
+          f += 1
+        }
+      }
+    }
+    val slice = (from: Int) => java.util.Arrays.copyOfRange(flat, from, from + totalBins)
+    (Array.tabulate(pending.length)(k => slice(k * totalBins)),
+     Array.tabulate(pending.length)(k => slice(half + k * totalBins)))
   }
 
   /** Sum (G, H) of one node from any single feature's histogram row. */

@@ -1,7 +1,6 @@
 package repro.ml
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 
 /** A named dense feature matrix with a binary label vector.
@@ -66,31 +65,13 @@ final case class LocalMatrix(names: Array[String], x: Array[Array[Double]], y: A
 object LocalMatrix {
 
   /** Collect a DataFrame into a LocalMatrix. `labelCol` must be 0/1-valued;
-    * all other columns are cast to double. Non-finite values are zeroed
-    * (mirrors the generation-side guard).
+    * all other columns are cast to double and decoded by [[Rows.decode]]
+    * (non-finite values are zeroed, mirroring the generation-side guard).
     */
   def fromDF(df: DataFrame, labelCol: String = "label"): LocalMatrix = {
     val featNames = df.columns.filter(_ != labelCol)
     require(featNames.length == df.columns.length - 1, s"label column '$labelCol' not found")
-    val casted = df.select((featNames :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
-    val collected = casted.collect()
-    val m = featNames.length
-    val x = new Array[Array[Double]](collected.length)
-    val y = new Array[Double](collected.length)
-    var i = 0
-    while (i < collected.length) {
-      val r = collected(i)
-      val row = new Array[Double](m)
-      var j = 0
-      while (j < m) {
-        val v = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-        row(j) = if (java.lang.Double.isFinite(v)) v else 0.0
-        j += 1
-      }
-      x(i) = row
-      y(i) = if (r.isNullAt(m)) 0.0 else r.getDouble(m)
-      i += 1
-    }
-    LocalMatrix(featNames, x, y)
+    val rows = Rows.select(df, featNames, labelCol).collect().map(Rows.decode(_, featNames.length))
+    LocalMatrix(featNames, rows.map(_._1), rows.map(_._2))
   }
 }

@@ -58,6 +58,22 @@ object Metrics {
   /** Binary-label entropy from (#pos, #neg). */
   def binaryEntropy(nPos: Double, nNeg: Double): Double = entropy(Array(nPos, nNeg))
 
+  /** Information gain of a partition from per-cell (#pos, #neg) counts:
+    * H(y) − Σ (w/n)·H(cell), with w the cell size and n the total.
+    */
+  def entropyGain(pos: Array[Double], neg: Array[Double]): Double = {
+    val p = pos.sum; val q = neg.sum
+    val n = p + q
+    var hCond = 0.0
+    var c = 0
+    while (c < pos.length) {
+      val w = pos(c) + neg(c)
+      if (w > 0) hCond += (w / n) * binaryEntropy(pos(c), neg(c))
+      c += 1
+    }
+    binaryEntropy(p, q) - hCond
+  }
+
   /** Kullback–Leibler divergence KLD(P || Q) in nats; P(i)=0 terms vanish. */
   def kld(p: Array[Double], q: Array[Double]): Double = {
     require(p.length == q.length, "distribution length mismatch")

@@ -1,5 +1,6 @@
 package repro
 
+import repro.core.Safe
 import repro.ml.{LocalMatrix, Metrics}
 import scala.util.Random
 
@@ -43,6 +44,11 @@ object TestData {
       Array.fill(n)(Array.fill(m)(rng.nextGaussian())),
       Array.fill(n)(if (rng.nextBoolean()) 1.0 else 0.0))
   }
+
+  /** The local statistics engine over `m`: IV and Pearson exactly as
+    * `Safe.fitLocal` computes them.
+    */
+  def engine(m: LocalMatrix): Safe.LocalEngine = new Safe.LocalEngine(m, Int.MaxValue, 0)
 
   /** XOR-of-signs data: label = 1 iff sign(x0) != sign(x1) — needs depth-2
     * interactions, defeats any linear model.

@@ -1,10 +1,12 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.LocalMatrix
+import repro.ml.{Binning, LocalMatrix, Rows}
 import scala.util.Random
 
 class InfoValueSpec extends SparkSpec {
+
+  private def sparkEngine(m: LocalMatrix) = new Safe.SparkEngine(m.toDF(spark), "label", Int.MaxValue, 0)
 
   test("fromCounts on a perfectly separating binning is large") {
     // bin0 all negative, bin1 all positive
@@ -46,15 +48,15 @@ class InfoValueSpec extends SparkSpec {
 
   test("ivAllLocal computes per-name values") {
     val m = TestData.linear(500, 3, seed = 2)
-    val ivs = InfoValue.ivAllLocal(m, Seq("x0", "x2"))
+    val ivs = TestData.engine(m).ivAll(Seq("x0", "x2"), InfoValue.DefaultBins)
     assert(ivs.keySet == Set("x0", "x2"))
     ivs.values.foreach(v => assert(!v.isNaN))
   }
 
   test("ivAllSpark agrees with ivAllLocal") {
     val m = TestData.linear(1500, 4, seed = 3)
-    val local = InfoValue.ivAllLocal(m, m.names.toSeq)
-    val sparkIvs = InfoValue.ivAllSpark(m.toDF(spark), m.names.toSeq)
+    val local = TestData.engine(m).ivAll(m.names.toSeq, InfoValue.DefaultBins)
+    val sparkIvs = sparkEngine(m).ivAll(m.names.toSeq, InfoValue.DefaultBins)
     assert(sparkIvs.keySet == local.keySet)
     // approx quantile edges can shift bin boundaries slightly
     local.foreach { case (k, v) =>
@@ -64,7 +66,17 @@ class InfoValueSpec extends SparkSpec {
 
   test("ivAllSpark on empty name list returns empty") {
     val m = TestData.linear(50, 2, seed = 4)
-    assert(InfoValue.ivAllSpark(m.toDF(spark), Nil).isEmpty)
+    assert(sparkEngine(m).ivAll(Nil, InfoValue.DefaultBins).isEmpty)
+  }
+
+  test("ivAll: the local fold and Spark's treeAggregate agree exactly on shared edges") {
+    val m = TestData.linear(1500, 4, seed = 3)
+    val cols = m.names.indices.toArray
+    val edges = cols.map(j => Binning.quantileEdges(m.column(j), InfoValue.DefaultBins))
+    val local = InfoValue.ivAll(Rows.of(m), cols, edges)
+    val dist = InfoValue.ivAll(Rows.Distributed(Rows.decoded(Rows.select(m.toDF(spark), m.names, "label"))),
+      cols, edges)
+    assert(dist.sameElements(local), s"local=${local.mkString(",")} spark=${dist.mkString(",")}")
   }
 
   test("filter keeps only features above alpha, sorted by IV") {

@@ -45,7 +45,7 @@ class SafeSpec extends SparkSpec {
   test("selected features carry IV above threshold or fallback applies") {
     val res = Safe.fitLocal(train, fastCfg)
     val trNew = res.plan.applyLocal(train)
-    val ivs = InfoValue.ivAllLocal(trNew, trNew.names.toSeq)
+    val ivs = TestData.engine(trNew).ivAll(trNew.names.toSeq, InfoValue.DefaultBins)
     // at least the top selected feature must be a medium+ predictor
     assert(ivs.values.max > 0.1)
   }
@@ -54,7 +54,7 @@ class SafeSpec extends SparkSpec {
     val res = Safe.fitLocal(train, fastCfg)
     val trNew = res.plan.applyLocal(train)
     val names = trNew.names.toSeq
-    val corr = Correlation.matrixLocal(trNew, names)
+    val corr = TestData.engine(trNew).corrMatrix(names)
     for (i <- names.indices; j <- (i + 1) until names.length)
       assert(math.abs(corr(i)(j)) <= Correlation.DefaultTheta + 1e-9,
         s"${names(i)} vs ${names(j)}: ${corr(i)(j)}")

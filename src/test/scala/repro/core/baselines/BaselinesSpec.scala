@@ -51,18 +51,18 @@ class FcTreeSpec extends AnyFunSuite {
 
   private lazy val train = TestData.planted(600, 5, seed = 62)
 
-  test("gainOf finds the best threshold gain") {
+  test("bestSplit finds the best threshold gain") {
     val y = Array.fill(50)(1.0) ++ Array.fill(50)(0.0)
     val v = Array.tabulate(100)(i => if (i < 50) 1.0 else 0.0)
-    val g = FcTree.gainOf(y, v, y.indices.toArray, 10)
+    val (_, g) = FcTree.bestSplit(v, y, y.indices.toArray, 10)
     assert(math.abs(g - math.log(2)) < 1e-9) // perfect split: IG = H(y) = ln 2
   }
 
-  test("gainOf of noise is near zero") {
+  test("bestSplit gain of noise is near zero") {
     val rng = new scala.util.Random(1)
     val y = Array.fill(500)(if (rng.nextBoolean()) 1.0 else 0.0)
     val v = Array.fill(500)(rng.nextGaussian())
-    assert(FcTree.gainOf(y, v, y.indices.toArray, 10) < 0.02)
+    assert(FcTree.bestSplit(v, y, y.indices.toArray, 10)._2 < 0.02)
   }
 
   test("fit emits originals plus constructed features within the cap") {
@@ -126,7 +126,7 @@ class RandImpSpec extends AnyFunSuite {
   test("RAND selection still enforces the IV threshold") {
     val res = RandImp.fitRandLocal(train, cfg)
     val out = res.plan.applyLocal(train)
-    val ivs = InfoValue.ivAllLocal(out, out.names.toSeq)
+    val ivs = TestData.engine(out).ivAll(out.names.toSeq, InfoValue.DefaultBins)
     assert(ivs.values.max > 0.0)
   }
 

@@ -99,14 +99,14 @@ class GbdtSpec extends SparkSpec {
     assert((bins(2) & 0xff) == model.edges(2).length) // top bin
   }
 
-  test("SparkHist backend produces node-identical trees to LocalHist on shared bins") {
+  test("Spark rows produce node-identical trees to local rows on shared bins") {
     val train = TestData.planted(400, 4, seed = 8)
     val params = GbdtParams(numTrees = 5, maxDepth = 3, maxBins = 16)
     val edges = Binning.fitLocal(train, params.maxBins)
     val bins = Binning.applyLocal(train, edges)
-    val local = Gbdt.train(new LocalHist(bins, train.y), edges, train.names, params)
-    val rdd = spark.sparkContext.parallelize(bins.zip(train.y).toIndexedSeq, 4)
-    val dist = Gbdt.train(new SparkHist(rdd), edges, train.names, params)
+    val rows = bins.zip(train.y).toIndexedSeq
+    val local = Gbdt.train(Rows.Local(rows), edges, train.names, params)
+    val dist = Gbdt.train(Rows.Distributed(spark.sparkContext.parallelize(rows, 4)), edges, train.names, params)
     assert(local.trees.length == dist.trees.length)
     local.trees.zip(dist.trees).foreach { case (a, b) =>
       assert(a.length == b.length)
